@@ -24,7 +24,6 @@ from typing import List, Optional
 
 from repro.core.cell import run_cell_detailed
 from repro.core.config import CellConfig
-from repro.phy import timing
 
 
 def _add_cell_arguments(parser: argparse.ArgumentParser) -> None:
@@ -186,54 +185,69 @@ def _command_run(args: argparse.Namespace) -> int:
 
 
 def _command_network(args: argparse.Namespace) -> int:
-    from repro.network import MultiCellConfig, build_network
+    """A 1xN city in one shard and one epoch, with scripted handoffs."""
+    from repro.core.cell import finalize_run
+    from repro.shard.config import CityConfig, MobilityConfig
+    from repro.shard.coordinator import publish_city_metrics
+    from repro.shard.shard import ShardSim
 
-    cell = CellConfig(num_data_users=args.data_users,
-                      num_gps_users=args.gps_users,
-                      load_index=0.0,
-                      cycles=args.cycles,
-                      warmup_cycles=args.warmup,
-                      seed=args.seed)
-    config = MultiCellConfig(num_cells=args.cells, cell=cell,
-                             load_index=args.load,
-                             inter_cell_fraction=args.inter_cell,
-                             seed=args.seed)
-    network = build_network(config)
-    for index in range(args.handoffs):
-        source = index % args.cells
-        mover = network.cells[source].data_users[0]
-        target = (source + 1) % args.cells
-        when = (args.warmup + 20 + 25 * index) * timing.CYCLE_LENGTH
-        network.handoff(mover.ein, target, at_time=when)
+    try:
+        if args.handoffs and args.cells < 2:
+            raise ValueError("--handoffs needs at least 2 cells")
+        city = CityConfig(
+            rows=1, cols=args.cells, num_shards=1,
+            cell=CellConfig(num_data_users=args.data_users,
+                            num_gps_users=args.gps_users,
+                            load_index=0.0),
+            load_index=args.load, inter_cell_fraction=args.inter_cell,
+            epochs=1, cycles_per_epoch=args.cycles,
+            warmup_cycles=args.warmup,
+            mobility=MobilityConfig(movers_per_cell=0), seed=args.seed)
+        shard = ShardSim(city, 0)
+        for index in range(args.handoffs):
+            source = index % args.cells
+            shard.handoff(city.data_ein(source, 0),
+                          (source + 1) % args.cells,
+                          at_cycle=args.warmup + 20 + 25 * index)
+    except ValueError as error:
+        print(f"network: {error}", file=sys.stderr)
+        return 2
     if args.metrics:
         from repro.obs.registry import default_registry
 
         default_registry().enable()
-    stats = network.run()
+    report = shard.run_epoch(0)
+    cells = [shard.runs[cell_id] for cell_id in shard.cell_ids]
+    for cell_run in cells:
+        finalize_run(cell_run)
     if args.metrics:
         from repro.obs.export import write_prometheus
         from repro.obs.registry import default_registry
 
+        publish_city_metrics([report], 0.0, {})
         write_prometheus(args.metrics, default_registry())
-        print(f"[metrics] osu_network_* -> {args.metrics}",
+        print(f"[metrics] osu_city_* -> {args.metrics}",
               file=sys.stderr)
+    counters = report["counters"]
+    received = counters["messages_received"]
+    delay = (counters["end_to_end_delay_total"] / received
+             if received else 0.0)
     payload = {
-        "messages_routed": stats.messages_routed,
-        "messages_forwarded": stats.messages_forwarded,
-        "end_to_end_delay_mean_s": stats.end_to_end_delay.mean,
-        "handoffs_completed": stats.handoffs_completed,
-        "backbone_bytes": network.backbone.total_bytes,
-        "cells": [cell_run.stats.summary()
-                  for cell_run in network.cells],
+        "messages_routed": counters["messages_routed"],
+        "messages_forwarded": counters["messages_forwarded"],
+        "end_to_end_delay_mean_s": delay,
+        "handoffs_completed": counters["handoffs_local"],
+        "backbone_bytes": counters["backbone_bytes_local"],
+        "cells": [cell_run.stats.summary() for cell_run in cells],
     }
     if args.json:
         print(json.dumps(payload, indent=2))
         return 0
-    print(f"{args.cells} cells, {stats.messages_routed} messages routed "
-          f"({stats.messages_forwarded} over the backbone), "
-          f"{stats.handoffs_completed} handoffs")
-    print(f"end-to-end delay: {stats.end_to_end_delay.mean:.1f} s mean")
-    for index, cell_run in enumerate(network.cells):
+    print(f"{args.cells} cells, {payload['messages_routed']} messages "
+          f"routed ({payload['messages_forwarded']} over the backbone), "
+          f"{payload['handoffs_completed']} handoffs")
+    print(f"end-to-end delay: {delay:.1f} s mean")
+    for index, cell_run in enumerate(cells):
         cell_stats = cell_run.stats
         print(f"  cell {index}: util="
               f"{cell_stats.utilization():.3f} "
@@ -496,7 +510,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     network_parser.add_argument("--seed", type=int, default=1)
     network_parser.add_argument("--metrics", metavar="PATH",
                                 default=None,
-                                help="write osu_network_* families to "
+                                help="write osu_city_* families to "
                                      "PATH in Prometheus text format")
     network_parser.add_argument("--json", action="store_true")
     network_parser.set_defaults(handler=_command_network)

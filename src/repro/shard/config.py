@@ -81,8 +81,7 @@ class CityConfig:
     cols: int = 4
     num_shards: int = 2
     #: Per-cell template.  ``load_index``/``forward_load_index`` must be
-    #: zero (the city generates the addressed workload itself, exactly
-    #: like :class:`~repro.network.multicell.MultiCellConfig`) and its
+    #: zero (the city generates the addressed workload itself) and its
     #: ``cycles``/``warmup_cycles`` are overridden by the epoch grid
     #: below.
     cell: CellConfig = field(default_factory=lambda: CellConfig(

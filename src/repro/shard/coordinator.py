@@ -260,64 +260,77 @@ class CityCoordinator:
 
     def _publish_metrics(self, reports: List[Dict[str, Any]],
                          barrier_lag: float) -> None:
-        from repro.obs.registry import default_registry
+        publish_city_metrics(reports, barrier_lag, self._metric_prev)
 
-        registry = default_registry()
-        if not registry.enabled:
-            return
-        handoffs = registry.counter(
-            "osu_city_handoffs_total",
-            "Cell transitions completed, by destination cell",
-            ("shard", "cell", "kind"))
-        pages = registry.counter(
-            "osu_city_buffered_pages_total",
-            "Messages buffered (and paged) awaiting registration",
-            ("shard",))
-        backbone = registry.counter(
-            "osu_city_backbone_bytes_total",
-            "Message bytes crossing shard boundaries",
-            ("src_shard", "dst_shard"))
-        messages = registry.counter(
-            "osu_city_messages_total",
-            "City messages by disposition", ("shard", "kind"))
-        lag_gauge = registry.gauge(
-            "osu_city_epoch_barrier_lag_seconds",
-            "Wall-clock spread between fastest and slowest shard "
-            "at the last epoch barrier")
-        scalar_kinds = (
-            ("messages_routed", "routed"),
-            ("messages_forwarded", "forwarded"),
-            ("messages_delivered_local", "delivered_local"),
-            ("messages_cross_shard", "cross_shard"),
-            ("messages_received", "received"),
-            ("messages_hop_dropped", "hop_dropped"),
-        )
-        for report in reports:
-            shard = str(report["shard"])
-            current = report["counters"]
-            previous = self._metric_prev.get(report["shard"], {})
-            for key, kind in scalar_kinds:
-                delta = current[key] - previous.get(key, 0)
-                if delta:
-                    messages.labels(shard, kind).inc(delta)
-            delta = (current["messages_buffered_for_registration"]
-                     - previous.get("messages_buffered_for_registration",
-                                    0))
+
+def publish_city_metrics(reports: List[Dict[str, Any]],
+                         barrier_lag: float,
+                         previous_counters: Dict[int, Dict[str, Any]]
+                         ) -> None:
+    """Publish one barrier's shard reports as ``osu_city_*`` families.
+
+    A no-op unless the process-global registry is enabled (``--metrics``
+    on the CLIs).  Report counters are cumulative, so each family is
+    incremented by the delta against ``previous_counters`` (shard id ->
+    counters at the last publish), which is updated in place.
+    """
+    from repro.obs.registry import default_registry
+
+    registry = default_registry()
+    if not registry.enabled:
+        return
+    handoffs = registry.counter(
+        "osu_city_handoffs_total",
+        "Cell transitions completed, by destination cell",
+        ("shard", "cell", "kind"))
+    pages = registry.counter(
+        "osu_city_buffered_pages_total",
+        "Messages buffered (and paged) awaiting registration",
+        ("shard",))
+    backbone = registry.counter(
+        "osu_city_backbone_bytes_total",
+        "Message bytes crossing shard boundaries",
+        ("src_shard", "dst_shard"))
+    messages = registry.counter(
+        "osu_city_messages_total",
+        "City messages by disposition", ("shard", "kind"))
+    lag_gauge = registry.gauge(
+        "osu_city_epoch_barrier_lag_seconds",
+        "Wall-clock spread between fastest and slowest shard "
+        "at the last epoch barrier")
+    scalar_kinds = (
+        ("messages_routed", "routed"),
+        ("messages_forwarded", "forwarded"),
+        ("messages_delivered_local", "delivered_local"),
+        ("messages_cross_shard", "cross_shard"),
+        ("messages_received", "received"),
+        ("messages_hop_dropped", "hop_dropped"),
+    )
+    for report in reports:
+        shard = str(report["shard"])
+        current = report["counters"]
+        previous = previous_counters.get(report["shard"], {})
+        for key, kind in scalar_kinds:
+            delta = current[key] - previous.get(key, 0)
             if delta:
-                pages.labels(shard).inc(delta)
-            prev_cells = previous.get("handoffs_by_cell", {})
-            for key, count in current["handoffs_by_cell"].items():
-                delta = count - prev_cells.get(key, 0)
-                if delta:
-                    cell, kind = key.split("/")
-                    handoffs.labels(shard, cell, kind).inc(delta)
-            prev_bytes = previous.get("cross_shard_bytes", {})
-            for dst, total in current["cross_shard_bytes"].items():
-                delta = total - prev_bytes.get(dst, 0)
-                if delta:
-                    backbone.labels(shard, dst).inc(delta)
-            self._metric_prev[report["shard"]] = current
-        lag_gauge.set(barrier_lag)
+                messages.labels(shard, kind).inc(delta)
+        delta = (current["messages_buffered_for_registration"]
+                 - previous.get("messages_buffered_for_registration", 0))
+        if delta:
+            pages.labels(shard).inc(delta)
+        prev_cells = previous.get("handoffs_by_cell", {})
+        for key, count in current["handoffs_by_cell"].items():
+            delta = count - prev_cells.get(key, 0)
+            if delta:
+                cell, kind = key.split("/")
+                handoffs.labels(shard, cell, kind).inc(delta)
+        prev_bytes = previous.get("cross_shard_bytes", {})
+        for dst, total in current["cross_shard_bytes"].items():
+            delta = total - prev_bytes.get(dst, 0)
+            if delta:
+                backbone.labels(shard, dst).inc(delta)
+        previous_counters[report["shard"]] = current
+    lag_gauge.set(barrier_lag)
 
 
 def run_city(config: CityConfig, jobs: int = 1, cache: Any = False,
@@ -338,6 +351,7 @@ __all__ = [
     "aggregate_counters",
     "city_digest",
     "epoch_digest",
+    "publish_city_metrics",
     "report_digest",
     "run_city",
 ]

@@ -3,12 +3,14 @@
 A :class:`ShardSim` owns the cells of one shard group.  Within an epoch
 it is a self-contained multi-cell network (uplink reassembly, a local
 wired backbone between its own base stations, buffering for
-mid-registration destinations -- the same model as
-:class:`repro.network.multicell.MultiCellNetwork`).  Anything that must
-leave the shard -- a message for a cell another shard owns, a subscriber
-whose mobility route crosses the shard boundary -- is *captured* as an
-envelope and held until the epoch barrier, where the coordinator
-redistributes it (:mod:`repro.shard.coordinator`).
+mid-registration destinations, handoff) -- the repo's one model of the
+paper's Section 2.2 system; ``repro network`` runs it as a one-shard,
+one-epoch city with scripted handoffs (:meth:`ShardSim.handoff`).
+Anything that must leave the shard -- a message for a cell another
+shard owns, a subscriber whose mobility route crosses the shard
+boundary -- is *captured* as an envelope and held until the epoch
+barrier, where the coordinator redistributes it
+(:mod:`repro.shard.coordinator`).
 
 Determinism contract
 --------------------
@@ -320,6 +322,27 @@ class ShardSim:
         return on_received
 
     # -- mobility -----------------------------------------------------------
+
+    def handoff(self, ein: int, to_cell: int, at_cycle: int) -> None:
+        """Move subscriber ``ein`` to ``to_cell`` at cycle ``at_cycle``.
+
+        A scripted handoff runs through the same path as a scheduled
+        mobility event, so data subscribers and GPS units move alike;
+        taking a cycle index keeps the cycle-boundary rule of
+        :mod:`repro.shard.mobility`.
+        """
+        if ein not in self.directory:
+            raise ValueError(f"unknown subscriber EIN {ein:#x}")
+        if not 0 <= to_cell < self.city.num_cells:
+            raise ValueError(f"no such cell {to_cell}")
+        if not 0 <= at_cycle < self.city.total_cycles:
+            raise ValueError(
+                f"handoff cycle {at_cycle} is outside the run's "
+                f"{self.city.total_cycles} cycles")
+        at_time = at_cycle * timing.CYCLE_LENGTH
+        self.sim.call_at(at_time, lambda: self._on_mobility(MobilityEvent(
+            time=at_time, ein=ein, from_cell=self.directory[ein],
+            to_cell=to_cell)))
 
     def _on_mobility(self, event: MobilityEvent) -> None:
         subscriber = self._local.get(event.ein)

@@ -84,6 +84,39 @@ class TestCli:
         assert payload["handoffs_completed"] == 1
         assert len(payload["cells"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--cells", "0"],
+        ["--cycles", "10", "--warmup", "20"],
+        ["--cells", "1", "--handoffs", "1"],
+        ["--cycles", "60", "--warmup", "20", "--handoffs", "2"],
+    ], ids=["no-cells", "warmup-past-end", "handoff-one-cell",
+            "handoff-past-end"])
+    def test_network_input_errors(self, capsys, argv):
+        code = cli_main(["network", "--data-users", "2",
+                         "--gps-users", "1"] + argv)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("network: ")
+        assert captured.err.count("\n") == 1
+
+    def test_network_metrics_are_city_families(self, capsys, tmp_path):
+        from repro.obs.registry import MetricsRegistry, set_default_registry
+
+        path = tmp_path / "network.prom"
+        previous = set_default_registry(MetricsRegistry(enabled=False))
+        try:
+            code = cli_main(["network", "--cells", "2", "--cycles", "50",
+                             "--warmup", "10", "--data-users", "3",
+                             "--gps-users", "1", "--handoffs", "1",
+                             "--metrics", str(path)])
+        finally:
+            set_default_registry(previous)
+        assert code == 0
+        text = path.read_text()
+        assert 'osu_city_handoffs_total{shard="0",cell="1",kind="data"} 1' \
+            in text
+
     def test_experiments_subcommand_list(self, capsys):
         code = cli_main(["experiments", "--list"])
         assert code == 0

@@ -1,17 +1,20 @@
-"""Tests for the multi-cell network layer: backbone, routing, handoff."""
+"""Tests for the multi-cell network layer: backbone, routing, handoff.
+
+The multi-cell model is :class:`repro.shard.shard.ShardSim`; these tests
+drive it the way ``repro network`` does, as one shard running a 1xN
+city for a single epoch with scripted handoffs.
+"""
 
 import pytest
 
+from repro.core.cell import finalize_run
 from repro.core.config import CellConfig
-from repro.network import (
-    Backbone,
-    BackboneLink,
-    MultiCellConfig,
-    build_network,
-    run_network,
-)
+from repro.network import Backbone, BackboneLink
 from repro.phy import timing
+from repro.shard.config import CityConfig, MobilityConfig
+from repro.shard.shard import ShardSim
 from repro.sim import Simulator
+from repro.traffic.messages import Message
 
 
 class TestBackboneLink:
@@ -72,103 +75,110 @@ class TestBackbone:
         assert backbone.total_bytes == 50
 
 
-def network_config(**overrides):
-    cell = CellConfig(num_data_users=5, num_gps_users=1, load_index=0.0,
-                      cycles=100, warmup_cycles=15, seed=3)
-    defaults = dict(num_cells=2, cell=cell, load_index=0.4,
-                    inter_cell_fraction=0.6, seed=3)
+def network_shard(**overrides):
+    """A one-shard, one-epoch 1xN city (two cells by default)."""
+    defaults = dict(
+        rows=1, cols=2, num_shards=1,
+        cell=CellConfig(num_data_users=5, num_gps_users=1,
+                        load_index=0.0),
+        load_index=0.4, inter_cell_fraction=0.6,
+        epochs=1, cycles_per_epoch=100, warmup_cycles=15,
+        mobility=MobilityConfig(movers_per_cell=0), seed=3)
     defaults.update(overrides)
-    return MultiCellConfig(**defaults)
+    return ShardSim(CityConfig(**defaults), 0)
+
+
+def run_to_end(net):
+    """Run the whole epoch, fold the radio audits in, return counters."""
+    report = net.run_epoch(0)
+    for cell in net.runs.values():
+        finalize_run(cell)
+    return report["counters"]
+
+
+def mean_delay(counters):
+    return counters["end_to_end_delay_total"] / counters["messages_received"]
 
 
 class TestMultiCellRouting:
     def test_messages_cross_the_backbone(self):
-        run = run_network(network_config(num_cells=3))
-        stats = run.stats
-        assert stats.messages_forwarded > 10
-        assert stats.end_to_end_delay.count > 20
-        assert run.network.backbone.total_items \
-            == stats.messages_forwarded
+        net = network_shard(cols=3)
+        counters = run_to_end(net)
+        assert counters["messages_forwarded"] > 10
+        assert counters["messages_received"] > 20
+        assert net.backbone.total_items == counters["messages_forwarded"]
 
     def test_intra_cell_messages_stay_local(self):
-        run = run_network(network_config(inter_cell_fraction=0.0))
-        assert run.stats.messages_forwarded == 0
-        assert run.network.backbone.total_items == 0
+        net = network_shard(inter_cell_fraction=0.0)
+        counters = run_to_end(net)
+        assert counters["messages_forwarded"] == 0
+        assert net.backbone.total_items == 0
         # The uplink still carries traffic (terminating at the BS).
-        assert run.stats.messages_routed > 10
+        assert counters["messages_routed"] > 10
 
     def test_every_cell_operates_cleanly(self):
-        run = run_network(network_config(num_cells=3))
-        for cell in run.network.cells:
+        net = network_shard(cols=3)
+        run_to_end(net)
+        for cell in net.runs.values():
             assert cell.stats.radio_violations == 0
             assert cell.stats.registrations_completed \
                 == cell.config.num_data_users + cell.config.num_gps_users
 
     def test_end_to_end_delay_exceeds_single_hop(self):
         """An inter-cell message pays uplink + backbone + downlink."""
-        run = run_network(network_config())
+        counters = run_to_end(network_shard())
         # Uplink alone takes ~3 cycles at this load; end-to-end adds the
         # downlink scheduling, so the mean must exceed one cycle time.
-        assert run.stats.end_to_end_delay.mean > timing.CYCLE_LENGTH
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            MultiCellConfig(num_cells=0)
-        with pytest.raises(ValueError):
-            network_config(inter_cell_fraction=1.5)
-        with pytest.raises(ValueError):
-            MultiCellConfig(cell=CellConfig(load_index=0.5))
+        assert mean_delay(counters) > timing.CYCLE_LENGTH
 
 
 class TestHandoff:
     def test_subscriber_moves_and_reregisters(self):
-        net = build_network(network_config())
-        mover = net.cells[0].data_users[0]
-        net.handoff(mover.ein, 1, at_time=40 * timing.CYCLE_LENGTH)
-        net.run()
-        assert net.stats.handoffs_completed == 1
-        assert net.directory[mover.ein][0] == 1
+        net = network_shard()
+        mover = net.runs[0].data_users[0]
+        net.handoff(mover.ein, 1, at_cycle=40)
+        counters = run_to_end(net)
+        assert counters["handoffs_local"] == 1
+        assert net.directory[mover.ein] == 1
         assert mover.state == "active"
         assert mover.uid is not None
         # The new cell approved one extra registration.
-        assert net.cells[1].stats.registrations_completed \
-            == net.cells[1].config.num_data_users \
-            + net.cells[1].config.num_gps_users + 1
+        assert net.runs[1].stats.registrations_completed \
+            == net.runs[1].config.num_data_users \
+            + net.runs[1].config.num_gps_users + 1
 
     def test_round_trip_handoff(self):
-        net = build_network(network_config())
-        mover = net.cells[0].data_users[1]
-        net.handoff(mover.ein, 1, at_time=30 * timing.CYCLE_LENGTH)
-        net.handoff(mover.ein, 0, at_time=70 * timing.CYCLE_LENGTH)
-        net.run()
-        assert net.stats.handoffs_completed == 2
-        assert net.directory[mover.ein][0] == 0
+        net = network_shard()
+        mover = net.runs[0].data_users[1]
+        net.handoff(mover.ein, 1, at_cycle=30)
+        net.handoff(mover.ein, 0, at_cycle=70)
+        counters = run_to_end(net)
+        assert counters["handoffs_local"] == 2
+        assert net.directory[mover.ein] == 0
         assert mover.state == "active"
 
     def test_no_radio_violations_across_handoff(self):
-        net = build_network(network_config())
-        mover = net.cells[0].data_users[0]
-        net.handoff(mover.ein, 1, at_time=40 * timing.CYCLE_LENGTH)
-        net.run()
+        net = network_shard()
+        mover = net.runs[0].data_users[0]
+        net.handoff(mover.ein, 1, at_cycle=40)
+        run_to_end(net)
         assert len(mover.radio.violations) == 0
 
     def test_messages_buffered_during_handoff_are_delivered(self):
         """Traffic addressed to a subscriber that is mid-handoff waits at
         the destination base station and flushes on registration."""
-        net = build_network(network_config(inter_cell_fraction=0.0))
-        mover = net.cells[0].data_users[0]
+        net = network_shard(inter_cell_fraction=0.0)
+        mover = net.runs[0].data_users[0]
         move_at = 40 * timing.CYCLE_LENGTH
-        net.handoff(mover.ein, 1, at_time=move_at)
+        net.handoff(mover.ein, 1, at_cycle=40)
 
         # Inject a message addressed to the mover right after it leaves,
         # while it has not yet registered in cell 1.
-        from repro.traffic.messages import Message
-
         def inject():
             message = Message(message_id=999999, size_bytes=100,
                               created_at=net.sim.now,
                               destination_ein=mover.ein)
-            net._route(source_cell=1, message=message)
+            net._route(1, message)
 
         net.sim.call_at(move_at + 0.5, inject)
         received = []
@@ -181,8 +191,8 @@ class TestHandoff:
                 previous_hook(packet)
 
         mover.on_message_received = on_received
-        net.run()
-        assert net.stats.messages_buffered_for_registration >= 1
+        counters = run_to_end(net)
+        assert counters["messages_buffered_for_registration"] >= 1
         assert received, "buffered message never reached the mover"
 
     def test_buffered_messages_flush_exactly_once_on_registration(self):
@@ -190,19 +200,16 @@ class TestHandoff:
         destination land in ``_waiting``, are counted, and the
         registration handler flushes each exactly once -- never again on
         later re-registrations."""
-        net = build_network(network_config(load_index=0.0,
-                                           inter_cell_fraction=0.0))
-        mover = net.cells[0].data_users[0]
+        net = network_shard(load_index=0.0, inter_cell_fraction=0.0)
+        mover = net.runs[0].data_users[0]
         move_at = 40 * timing.CYCLE_LENGTH
-        net.handoff(mover.ein, 1, at_time=move_at)
-
-        from repro.traffic.messages import Message
+        net.handoff(mover.ein, 1, at_cycle=40)
 
         def inject():
             # Two distinct messages while the mover is unregistered:
             # both must wait in _waiting, then flush together.
             for message_id in (777001, 777002):
-                net._route(source_cell=1, message=Message(
+                net._route(1, Message(
                     message_id=message_id, size_bytes=120,
                     created_at=net.sim.now,
                     destination_ein=mover.ein))
@@ -221,9 +228,9 @@ class TestHandoff:
         mover.on_message_received = on_received
         # A second handoff after the flush: re-registering in cell 0
         # must not replay the already-delivered messages.
-        net.handoff(mover.ein, 0, at_time=70 * timing.CYCLE_LENGTH)
-        net.run()
-        assert net.stats.messages_buffered_for_registration == 2
+        net.handoff(mover.ein, 0, at_cycle=70)
+        counters = run_to_end(net)
+        assert counters["messages_buffered_for_registration"] == 2
         received_ids = sorted(message_id
                               for message_id, _time in deliveries)
         assert received_ids == [777001, 777002], deliveries
@@ -231,12 +238,10 @@ class TestHandoff:
         assert net._waiting == {}
 
     def test_uplink_queue_travels_with_subscriber(self):
-        net = build_network(network_config(load_index=0.3,
-                                           inter_cell_fraction=0.0))
-        mover = net.cells[0].data_users[0]
+        net = network_shard(load_index=0.3, inter_cell_fraction=0.0)
+        mover = net.runs[0].data_users[0]
 
         # Fill the mover's queue right before the handoff...
-        from repro.traffic.messages import Message
         move_at = 40 * timing.CYCLE_LENGTH
 
         def fill():
@@ -245,23 +250,28 @@ class TestHandoff:
                                          created_at=net.sim.now))
 
         net.sim.call_at(move_at - 0.1, fill)
-        net.handoff(mover.ein, 1, at_time=move_at)
-        net.run()
+        net.handoff(mover.ein, 1, at_cycle=40)
+        run_to_end(net)
         # ...and the packets drain through the *new* cell.
         assert mover.state == "active"
         assert not mover.queue
         # Anything still in flight belongs to the very last cycle (its
         # ACK cycle lies beyond the end of the run).
-        last_cycle = net.cells[1].base_station.cycle
+        last_cycle = net.runs[1].base_station.cycle
         assert all(cycle >= last_cycle - 1
                    for cycle, _slot in mover.inflight)
 
     def test_handoff_validation(self):
-        net = build_network(network_config())
+        net = network_shard()
+        ein = net.runs[0].data_users[0].ein
         with pytest.raises(ValueError):
-            net.handoff(0xDEAD, 1)
+            net.handoff(0xDEAD, 1, at_cycle=10)
         with pytest.raises(ValueError):
-            net.handoff(net.cells[0].data_users[0].ein, 7)
+            net.handoff(ein, 7, at_cycle=10)
+        with pytest.raises(ValueError):
+            net.handoff(ein, 1, at_cycle=-1)
+        with pytest.raises(ValueError):
+            net.handoff(ein, 1, at_cycle=100)  # the run has 100 cycles
 
 
 class TestGpsHandoff:
@@ -269,34 +279,17 @@ class TestGpsHandoff:
         """A bus crossing a cell boundary: its GPS unit signs off, re-
         registers in the new cell, gets a GPS slot there (R2), and the
         old cell consolidates (R3/format switch)."""
-        net = build_network(network_config())
-        unit = net.cells[0].gps_units[0]
-        move_at = 40 * timing.CYCLE_LENGTH
-
-        def move():
-            if unit.uid is None:
-                return
-            net.cells[0].base_station.sign_off(unit.uid)
-            from repro.core.cell import _make_error_model
-            from repro.phy.channel import Link
-            stream = net.streams["gps-handoff"]
-            target = net.cells[1]
-            unit.relocate(
-                target.base_station.forward,
-                target.base_station.reverse,
-                forward_link=Link(_make_error_model(net.config.cell,
-                                                    stream), stream),
-                reverse_link=Link(_make_error_model(net.config.cell,
-                                                    stream), stream))
-
-        net.sim.call_at(move_at, move)
-        net.run()
+        net = network_shard()
+        unit = net.runs[0].gps_units[0]
+        net.handoff(unit.ein, 1, at_cycle=40)
+        counters = run_to_end(net)
+        assert counters["handoffs_by_cell"] == {"1/gps": 1}
         assert unit.state == "active"
-        new_bs = net.cells[1].base_station
-        old_bs = net.cells[0].base_station
+        new_bs = net.runs[1].base_station
+        old_bs = net.runs[0].base_station
         assert new_bs.gps_mgr.slot_of(unit.uid) is not None
         assert old_bs.gps_mgr.active_count \
-            == net.config.cell.num_gps_users - 1
+            == net.city.cell.num_gps_users - 1
         old_bs.gps_mgr.check_invariants()
         new_bs.gps_mgr.check_invariants()
         # The unit keeps reporting in its new cell with zero deadline

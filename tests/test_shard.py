@@ -68,6 +68,10 @@ class TestCityConfig:
         with pytest.raises(ValueError):
             city_config(num_shards=0)
         with pytest.raises(ValueError):
+            city_config(rows=1, cols=0, num_shards=1)  # no cells
+        with pytest.raises(ValueError):
+            city_config(inter_cell_fraction=1.5)
+        with pytest.raises(ValueError):
             city_config(cell=CellConfig(num_data_users=2,
                                         load_index=0.4))
         with pytest.raises(ValueError):
