@@ -1,30 +1,27 @@
-"""Checkpoint journals: killed sweeps resume instead of restarting.
+"""Crash-safe journals: one append-only log under three typed layers.
 
-A :class:`SweepJournal` records every completed point of one spec as a
-single JSON line ``{"key": <point_key>, "value": ...}``, appended and
-flushed the moment the point finishes.  A sweep killed at any instant
--- including SIGKILL, which never reaches Python -- therefore loses at
-most the points still in flight; ``execute(..., resume=True)`` (CLI
-``--resume`` / ``REPRO_RESUME=1``) replays the matching lines instead
-of recomputing them and keeps journaling the rest.
+:class:`AppendLog` is the one on-disk primitive behind the sweep journal
+below, :mod:`repro.serve.journal` and :mod:`repro.shard.journal`: a
+JSON-lines file under ``REPRO_JOURNAL_DIR`` (default
+``<cache-dir>/journal``) guarded by a :class:`JournalLock` pidfile.
+Each record is flushed to the OS as it is appended, so SIGKILL loses at
+most the line being written; that torn tail has no newline, is never
+read back, and is cut off before the next append.  The first record
+fsyncs the file and its directory entry (a crash right after creation
+cannot leave a journal that is not listed); any later fsync, which only
+matters if the host itself goes down, is the typed layer's call through
+:meth:`AppendLog.sync`:
 
-Layout: journals live under ``<cache-dir>/journal/`` (override with
-``REPRO_JOURNAL_DIR``), one ``<spec>-<grid-digest>.jsonl`` file per
-(spec name, grid fingerprint).  The grid digest hashes the full list of
-point keys -- which already fingerprint config *and* package source --
-so resuming after a config, grid, or code change starts a fresh journal
-rather than replaying stale values.  A torn final line from a mid-write
-kill is skipped on load, and a journal is deleted once its sweep
-finishes with no failures (the result cache, when enabled, still holds
-the values).
-
-Durability and exclusivity: the first record of a grid fsyncs both the
-journal file and its directory entry (a crash immediately after journal
-creation must not leave a resumable sweep pointing at an unlisted
-file), and each journal is guarded by a :class:`JournalLock` pidfile so
-two processes cannot resume the same journal concurrently.  The
-long-running service mode (``repro serve``) reuses both primitives for
-its own cycle-granular journals (:mod:`repro.serve.journal`).
+======  ====================  ===========================================
+layer   fsyncs                why
+======  ====================  ===========================================
+sweep   the first record      a lost point is recomputed on resume
+serve   the first record      records land every cycle; a lost tail only
+                              rewinds the resumed cell to an earlier cycle
+city    the first record and  epochs are few and long, so the fsync is
+        every epoch           cheap, and the committed prefix a resume
+                              verifies against outlives the host
+======  ====================  ===========================================
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Any, Dict, Optional, Sequence, TextIO
+from typing import Any, Dict, Iterator, Optional, Sequence, TextIO
 
 
 def default_journal_dir() -> str:
@@ -156,81 +153,169 @@ class JournalLock:
             pass
 
 
-class SweepJournal:
-    """Crash-safe completed-point journal for one spec grid."""
+def safe_name(name: str) -> str:
+    """``name`` with every character unsafe in a file name as ``-``."""
+    return "".join(ch if ch.isalnum() or ch in "-_" else "-"
+                   for ch in name)
 
-    def __init__(self, name: str, keys: Sequence[str],
-                 root: Optional[str] = None):
-        self.root = root or default_journal_dir()
-        digest = hashlib.sha256(
-            "\n".join(keys).encode("utf-8")).hexdigest()[:16]
-        safe = "".join(ch if ch.isalnum() or ch in "-_" else "-"
-                       for ch in name)
-        self.path = os.path.join(self.root, f"{safe}-{digest}.jsonl")
-        self._keys = frozenset(keys)
+
+_NESTED = (dict, list, tuple)
+
+
+def sorted_keys(value: Any) -> Any:
+    """``value`` with every nested dict's keys in sorted order.
+
+    :meth:`AppendLog.append` writes keys in the order it finds them;
+    records passed through this first come out byte-identical to
+    ``json.dumps(value, sort_keys=True)``.
+    """
+    if isinstance(value, dict):
+        return {key: sorted_keys(item) if isinstance(item, _NESTED)
+                else item for key, item in sorted(value.items())}
+    if isinstance(value, (list, tuple)):
+        return [sorted_keys(item) if isinstance(item, _NESTED) else item
+                for item in value]
+    return value
+
+
+class AppendLog:
+    """One crash-safe, lock-guarded JSON-lines file (see the module doc)."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self.lock = JournalLock(path + ".lock")
+        self._dir = os.path.dirname(path) or "."
         self._handle: Optional[TextIO] = None
-        self._dir_synced = False
-        self.lock = JournalLock(self.path + ".lock")
 
     def acquire(self) -> None:
-        """Take the journal's pidfile lock (see :class:`JournalLock`)."""
+        """Take the pidfile lock; raises :class:`JournalLockedError`."""
         self.lock.acquire()
 
-    def load(self) -> Dict[str, Any]:
-        """Completed ``key -> value`` entries belonging to this grid."""
-        entries: Dict[str, Any] = {}
+    def records(self) -> Iterator[Dict[str, Any]]:
+        """Every committed record (a JSON object on a whole line)."""
         try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        continue  # torn tail from a mid-write kill
-                    if not isinstance(record, dict):
-                        continue
-                    key = record.get("key")
-                    if key in self._keys:
-                        entries[key] = record.get("value")
+            handle = open(self.path, "r", encoding="utf-8")
         except OSError:
-            return {}
-        return entries
+            return
+        with handle:
+            for line in handle:
+                if not line.endswith("\n"):
+                    return  # torn tail from a mid-write kill
+                try:
+                    record = json.loads(line)
+                except ValueError:
+                    continue
+                if isinstance(record, dict):
+                    yield record
 
-    def append(self, key: str, value: Any) -> bool:
-        """Journal one completed point (no-op for non-JSON values)."""
+    def append(self, record: Any) -> None:
+        """Write one record as a JSON line and flush it to the OS.
+
+        Raises ``TypeError``/``ValueError`` -- before touching the file
+        -- when ``record`` is not JSON-serializable.
+        """
+        line = json.dumps(record) + "\n"
+        handle = self._handle
+        first = handle is None
+        if handle is None:
+            handle = self._handle = self._open()
+        handle.write(line)
+        handle.flush()
+        if first:
+            self.sync()
+            fsync_directory(self._dir)
+
+    def _open(self) -> TextIO:
+        """Open for appending, first cutting a torn tail off.
+
+        A record appended after a line torn by a kill would be glued
+        onto it, and lost with it on load.
+        """
+        os.makedirs(self._dir, exist_ok=True)
         try:
-            line = json.dumps({"key": key, "value": value})
-        except (TypeError, ValueError):
-            return False  # recomputed on resume instead
-        if self._handle is None:
-            os.makedirs(self.root, exist_ok=True)
-            self._handle = open(self.path, "a", encoding="utf-8")
-        self._handle.write(line + "\n")
-        # Push the line to the OS so even SIGKILL can't lose it.
-        self._handle.flush()
-        if not self._dir_synced:
-            # First record: fsync the file *and* its directory entry,
-            # so a crash right after journal creation cannot leave a
-            # resumable sweep pointing at an unlisted file.
+            with open(self.path, "rb+") as raw:
+                raw.truncate(sum(len(line) for line in raw
+                                 if line.endswith(b"\n")))
+        except FileNotFoundError:
+            pass
+        return open(self.path, "a", encoding="utf-8")
+
+    def sync(self) -> None:
+        """fsync every record appended so far."""
+        if self._handle is not None:
             try:
                 os.fsync(self._handle.fileno())
             except OSError:
                 pass
-            fsync_directory(self.root)
-            self._dir_synced = True
-        return True
 
-    def close(self) -> None:
-        if self._handle is not None:
-            try:
-                self._handle.close()
-            finally:
-                self._handle = None
-        self.lock.release()
+    def _close_handle(self) -> None:
+        handle, self._handle = self._handle, None
+        if handle is not None:
+            handle.close()
 
-    def discard(self) -> None:
-        """Remove the journal (its sweep finished cleanly)."""
-        self.close()
+    def reset(self) -> None:
+        """Delete the file, keeping the lock: the next append restarts it."""
+        self._close_handle()
         try:
             os.unlink(self.path)
         except OSError:
             pass
+
+    def close(self) -> None:
+        """Close the file (it stays for a resume) and release the lock."""
+        self._close_handle()
+        self.lock.release()
+
+    def discard(self) -> None:
+        """Delete the file, then release the lock."""
+        self.reset()
+        self.lock.release()
+
+
+class SweepJournal:
+    """Completed-point journal for one spec grid: ``{key, value}`` lines.
+
+    A sweep run with ``resume=True`` (CLI ``--resume`` /
+    ``REPRO_RESUME=1``) journals each point the moment it finishes and
+    replays matching lines instead of recomputing them.  The file is
+    ``<spec>-<grid-digest>.jsonl``; the digest hashes every point key --
+    which fingerprint config *and* package source -- so a config, grid
+    or code change starts a fresh journal.  It is discarded once its
+    sweep finishes with no failures.  Values are written in their own
+    key order, like :mod:`repro.engine.cache` values, so a resumed value
+    is indistinguishable from a computed one.
+    """
+
+    def __init__(self, name: str, keys: Sequence[str],
+                 root: Optional[str] = None):
+        digest = hashlib.sha256(
+            "\n".join(keys).encode("utf-8")).hexdigest()[:16]
+        self.log = AppendLog(os.path.join(root or default_journal_dir(),
+                                          f"{safe_name(name)}-{digest}.jsonl"))
+        self.path = self.log.path
+        self.lock = self.log.lock
+        self._keys = frozenset(keys)
+
+    def acquire(self) -> None:
+        self.log.acquire()
+
+    def load(self) -> Dict[str, Any]:
+        """Completed ``key -> value`` entries belonging to this grid."""
+        return {record["key"]: record.get("value")
+                for record in self.log.records()
+                if record.get("key") in self._keys}
+
+    def append(self, key: str, value: Any) -> bool:
+        """Journal one completed point (no-op for non-JSON values)."""
+        try:
+            self.log.append({"key": key, "value": value})
+        except (TypeError, ValueError):
+            return False  # recomputed on resume instead
+        return True
+
+    def close(self) -> None:
+        self.log.close()
+
+    def discard(self) -> None:
+        """Remove the journal (its sweep finished cleanly)."""
+        self.log.discard()

@@ -193,12 +193,14 @@ _ORDER_SANITIZER_FUNCS = {
     "repro.shard.envelopes.canonical_order",
     "repro.shard.envelopes.canonical_sort_key",
     "repro.engine.hashing.canonical",
+    "repro.engine.checkpoint.sorted_keys",
 }
 
-_JOURNAL_CLASSES = {"ServiceJournal", "SweepJournal", "CityJournal"}
+_JOURNAL_CLASSES = {"AppendLog", "ServiceJournal", "SweepJournal",
+                    "CityJournal"}
 _JOURNAL_METHODS = {
     "append", "append_control", "append_snapshot", "append_event",
-    "append_epoch", "write_header", "_append",
+    "append_epoch", "write_header",
 }
 _ENVELOPE_SINK_FUNCS = {
     "repro.shard.envelopes.message_envelope",

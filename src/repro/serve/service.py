@@ -183,18 +183,17 @@ class CellService:
         """
         self.journal.acquire()
         log: Optional[ServiceLog] = None
-        if resume and self.journal.exists():
+        if resume:
             log = self.journal.load()
             header = log.header
             if header is None:
                 log = None  # nothing recoverable; start fresh
-                self.journal.reset()
             elif header.get("config_sha256") != self.config_sha256:
                 raise ServiceError(
                     f"{self.journal.path} belongs to a different cell "
                     f"config ({header.get('config_sha256')!r} != "
                     f"{self.config_sha256!r}); refusing to resume")
-        if not resume:
+        if log is None:
             self.journal.reset()  # a fresh service restarts the name
         self._build()
         if log is not None:

